@@ -2,8 +2,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <thread>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include "common/csv.hpp"
 
@@ -17,6 +23,47 @@ bool full_scale() {
 int scaled(int paper, int laptop) { return full_scale() ? paper : laptop; }
 
 double scaled(double paper, double laptop) { return full_scale() ? paper : laptop; }
+
+namespace {
+
+/// CPU brand string from CPUID; "unknown" on other architectures.
+std::string cpu_model() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (__get_cpuid_max(0x80000000U, nullptr) >= 0x80000004U) {
+    char brand[49] = {};
+    for (unsigned int i = 0; i < 3; ++i) {
+      unsigned int regs[4] = {};
+      __get_cpuid(0x80000002U + i, &regs[0], &regs[1], &regs[2], &regs[3]);
+      std::memcpy(brand + 16 * i, regs, sizeof regs);
+    }
+    const std::string out{brand};
+    const auto first = out.find_first_not_of(' ');
+    if (first != std::string::npos) {
+      return out.substr(first, out.find_last_not_of(' ') - first + 1);
+    }
+  }
+#endif
+  return "unknown";
+}
+
+/// JSON string literal; drops control bytes.
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
+}  // namespace
+
+std::string host_record_json() {
+  return "{\"cores\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu\": " + json_string(cpu_model()) +
+         ", \"compiler\": " + json_string(BLAM_BENCH_COMPILER) +
+         ", \"build_type\": " + json_string(BLAM_BENCH_BUILD_TYPE) + "}";
+}
 
 void banner(const std::string& figure, const std::string& claim) {
   std::printf("================================================================\n");

@@ -46,6 +46,11 @@ void banner(const std::string& figure, const std::string& claim);
 std::string write_csv(const std::string& name, const std::vector<std::string>& header,
                       const std::vector<std::vector<std::string>>& rows);
 
+/// JSON object naming the machine and build a BENCH_*.json figure came
+/// from: {"cores": n, "cpu": "...", "compiler": "...", "build_type": "..."}.
+/// A timing is only comparable with another taken on the same host.
+[[nodiscard]] std::string host_record_json();
+
 /// The evaluation sweep of Sec. IV-A: LoRaWAN, H-5, H-50, H-100 on shared
 /// weather and topology seeds.
 struct ProtocolSweep {

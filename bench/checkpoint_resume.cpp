@@ -224,6 +224,7 @@ int run_bench() {
   char buf[1024];
   std::snprintf(buf, sizeof buf,
                 "{\n"
+                "  \"host\": %s,\n"
                 "  \"nodes\": %d,\n"
                 "  \"gateways\": %d,\n"
                 "  \"shards\": 4,\n"
@@ -237,7 +238,8 @@ int run_bench() {
                 "  \"resumed_wall_s\": %.3f,\n"
                 "  \"bit_identical\": %s\n"
                 "}\n",
-                config.n_nodes, config.n_gateways, static_cast<double>(kEpochs) / 24.0, kEpochs,
+                host_record_json().c_str(), config.n_nodes, config.n_gateways,
+                static_cast<double>(kEpochs) / 24.0, kEpochs,
                 kKillEpoch, static_cast<unsigned long long>(checkpoint_bytes),
                 checkpoint_write_s, restore_s, fresh_wall_s, resumed_wall_s,
                 bit_identical ? "true" : "false");

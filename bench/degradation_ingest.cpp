@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -141,9 +140,9 @@ std::string faulted_checkpoint(std::uint32_t nodes, std::uint32_t rounds, std::s
                         }
                       });
   service.recompute(Time::from_days(static_cast<double>(rounds) + 1.0));
-  std::ostringstream out;
+  std::string out;
   service.checkpoint(out);
-  return out.str();
+  return out;
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -313,7 +312,7 @@ int main() {
     }
   };
   deliver_range(survivor, 0, cut);
-  std::stringstream checkpoint;
+  std::string checkpoint;
   survivor.checkpoint(checkpoint);
   DegradationService restarted{feed_model, 25.0};
   restarted.restore(checkpoint);

@@ -2,44 +2,115 @@
 
 #include <algorithm>
 #include <bit>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <concepts>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "common/checksum.hpp"
+#include "common/state_codec.hpp"
 
 namespace blam {
 
 namespace {
 
-// --- checkpoint text helpers -----------------------------------------------
-// Doubles travel as 16-hex-digit bit patterns (lossless round trip; the
-// campaign journal set the precedent), times as signed microseconds.
+// --- "blamledger v1" text helpers ------------------------------------------
+// Space-separated fields, one record per line. Doubles travel as 16-hex-digit
+// bit patterns (lossless round trip; the campaign journal set the
+// precedent), times as signed microseconds.
 
-std::string hex_double(double v) {
+/// Checksum seed of the ledger trailer. It is one digit short of the FNV-1a
+/// 64 offset basis, as the first ledger writer had it; the trailer bytes of
+/// every existing checkpoint depend on it.
+constexpr std::uint64_t kLedgerFnvSeed = 1469598103934665603ULL;
+
+constexpr std::string_view kChecksumPrefix = "checksum ";
+
+/// A double field: written as its bit pattern in hex16.
+struct Hex {
+  double value;
+};
+
+void put_field(std::string& out, Hex field) {
+  char buf[16];
+  write_hex16(buf, std::bit_cast<std::uint64_t>(field.value));
+  out.append(buf, sizeof buf);
+}
+
+template <std::integral T>
+void put_field(std::string& out, T value) {
   char buf[24];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, std::bit_cast<std::uint64_t>(v));
-  return buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
-double parse_hex_double(const std::string& s) {
-  if (s.size() != 16) throw std::runtime_error{"ledger checkpoint: malformed double '" + s + "'"};
-  return std::bit_cast<double>(static_cast<std::uint64_t>(std::stoull(s, nullptr, 16)));
+/// Appends " field" for every field.
+template <typename... Fields>
+void put_fields(std::string& out, const Fields&... fields) {
+  ((out.push_back(' '), put_field(out, fields)), ...);
 }
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
+/// Whitespace-separated tokens of a ledger payload (the separators
+/// `operator>>` skips, so hand-edited spacing still parses).
+class LedgerTokens {
+ public:
+  explicit LedgerTokens(std::string_view text) : text_{text} {}
+
+  /// The next token; empty at the end of the payload.
+  std::string_view next() {
+    skip_space();
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && !is_space(text_[pos_])) ++pos_;
+    return text_.substr(start, pos_ - start);
   }
-  return h;
-}
+
+  template <std::integral T>
+  [[nodiscard]] bool read(T& value) {
+    const std::string_view token = next();
+    const char* last = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+    return !token.empty() && ec == std::errc{} && ptr == last;
+  }
+
+  [[nodiscard]] bool read(double& value) {
+    std::uint64_t bits = 0;
+    if (!parse_hex16(next(), bits)) return false;
+    value = std::bit_cast<double>(bits);
+    return true;
+  }
+
+  [[nodiscard]] bool read(Time& value) {
+    std::int64_t us = 0;
+    if (!read(us)) return false;
+    value = Time::from_us(us);
+    return true;
+  }
+
+  /// Reads every argument in order; false at the first failure.
+  template <typename... Values>
+  [[nodiscard]] bool read_all(Values&... values) {
+    return (read(values) && ...);
+  }
+
+  /// Bytes not yet consumed (an upper bound for reserve()).
+  [[nodiscard]] std::size_t remaining() const { return text_.size() - pos_; }
+
+  [[nodiscard]] bool at_end() {
+    skip_space();
+    return pos_ == text_.size();
+  }
+
+ private:
+  /// ' ' and '\t' '\n' '\v' '\f' '\r', the C locale's isspace().
+  static bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+  void skip_space() {
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+  }
+
+  std::string_view text_;
+  std::size_t pos_{0};
+};
 
 }  // namespace
 
@@ -364,58 +435,61 @@ double DegradationService::estimated_gap_seconds(std::uint32_t node_id) const {
   return estimated_gap_s_[handle_of(node_id)];
 }
 
-void DegradationService::checkpoint(std::ostream& out) {
+void DegradationService::checkpoint(std::string& out) {
   // Staged reports are transport state, not ledger state: fold them into
   // the ledger first. Draining here is batch-invariant (arrival order), so
   // a checkpoint taken mid-batch reads exactly like one taken after it.
   if (!queue_.empty()) drain_queue();
   // Line-oriented text, doubles as bit patterns, FNV-1a checksum trailer.
-  std::ostringstream body;
-  body << "blamledger v1 nodes " << ids_.size() << " maxdeg " << hex_double(max_degradation_)
-       << "\n";
+  const std::size_t start = out.size();
+  out.reserve(start + 64 + ids_.size() * 400);  // a node's records run ~320 bytes
+  out += "blamledger v1 nodes";
+  put_fields(out, ids_.size());
+  out += " maxdeg";
+  put_fields(out, Hex{max_degradation_});
   const LedgerCounters& c = counters_;
-  body << "counters " << c.reports_accepted << ' ' << c.reports_duplicate << ' '
-       << c.reports_checksum_rejected << ' ' << c.reports_buffered << ' '
-       << c.reports_reassembled << ' ' << c.samples_rejected_nonmonotonic << ' '
-       << c.samples_rejected_range << ' ' << c.gaps_bridged << ' ' << c.discontinuities << ' '
-       << c.quarantines << ' ' << c.recoveries << "\n";
+  out += "\ncounters";
+  put_fields(out, c.reports_accepted, c.reports_duplicate, c.reports_checksum_rejected,
+             c.reports_buffered, c.reports_reassembled, c.samples_rejected_nonmonotonic,
+             c.samples_rejected_range, c.gaps_bridged, c.discontinuities, c.quarantines,
+             c.recoveries);
+  out += '\n';
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     const std::uint32_t id = ids_[i];
     const NodeHandle h = handles_by_id_[i];
-    body << "node " << id << ' ' << static_cast<int>(health_[h]) << ' '
-         << (has_report_[h] != 0 ? 1 : 0) << ' ' << (has_data_[h] != 0 ? 1 : 0) << ' '
-         << last_seq_[h] << ' ' << suspicion_[h] << ' ' << clean_streak_[h] << ' '
-         << hex_double(degradation_[h]) << ' ' << hex_double(normalized_[h]) << ' '
-         << hex_double(estimated_gap_s_[h]) << ' ' << first_sample_t_[h].us() << ' '
-         << last_sample_t_[h].us() << "\n";
+    out += "node";
+    put_fields(out, id, static_cast<int>(health_[h]), has_report_[h] != 0 ? 1 : 0,
+               has_data_[h] != 0 ? 1 : 0, last_seq_[h], suspicion_[h], clean_streak_[h],
+               Hex{degradation_[h]}, Hex{normalized_[h]}, Hex{estimated_gap_s_[h]},
+               first_sample_t_[h].us(), last_sample_t_[h].us());
     const DegradationTracker::Snapshot t = store_.snapshot(h);
-    body << "tracker " << hex_double(t.closed_cycle_sum) << ' ' << t.last_time.us() << ' '
-         << hex_double(t.last_soc) << ' ' << (t.has_sample ? 1 : 0) << ' '
-         << hex_double(t.soc_time_integral) << ' ' << hex_double(t.stress_time_integral) << ' '
-         << t.stress_integrated_to.us() << ' ' << hex_double(t.temperature_c) << ' '
-         << t.discontinuities << "\n";
-    body << "rainflow " << t.rainflow.full_cycles << ' ' << (t.rainflow.has_last ? 1 : 0) << ' '
-         << hex_double(t.rainflow.prev_direction) << ' ' << hex_double(t.rainflow.last) << ' '
-         << t.rainflow.stack.size();
-    for (const double point : t.rainflow.stack) body << ' ' << hex_double(point);
-    body << "\n";
-    body << "held " << store_.held_count(h) << "\n";
+    out += "\ntracker";
+    put_fields(out, Hex{t.closed_cycle_sum}, t.last_time.us(), Hex{t.last_soc},
+               t.has_sample ? 1 : 0, Hex{t.soc_time_integral}, Hex{t.stress_time_integral},
+               t.stress_integrated_to.us(), Hex{t.temperature_c}, t.discontinuities);
+    out += "\nrainflow";
+    put_fields(out, t.rainflow.full_cycles, t.rainflow.has_last ? 1 : 0,
+               Hex{t.rainflow.prev_direction}, Hex{t.rainflow.last}, t.rainflow.stack.size());
+    for (const double point : t.rainflow.stack) put_fields(out, Hex{point});
+    out += "\nheld";
+    put_fields(out, store_.held_count(h));
+    out += '\n';
     for (std::uint32_t slot = 0; slot < store_.held_count(h); ++slot) {
       const std::span<const SocSample> samples = store_.held_samples(h, slot);
-      body << "heldrep " << store_.held_seq(h, slot) << ' ' << samples.size();
-      for (const SocSample& sample : samples) {
-        body << ' ' << sample.t.us() << ' ' << hex_double(sample.soc);
-      }
-      body << "\n";
+      out += "heldrep";
+      put_fields(out, store_.held_seq(h, slot), samples.size());
+      for (const SocSample& sample : samples) put_fields(out, sample.t.us(), Hex{sample.soc});
+      out += '\n';
     }
   }
-  const std::string payload = body.str();
-  char trailer[32];
-  std::snprintf(trailer, sizeof trailer, "%016" PRIx64, fnv1a(payload));
-  out << payload << "checksum " << trailer << "\n";
+  char trailer[16];
+  write_hex16(trailer, fnv1a64(kLedgerFnvSeed, out.data() + start, out.size() - start));
+  out += kChecksumPrefix;
+  out.append(trailer, sizeof trailer);
+  out += '\n';
 }
 
-void DegradationService::restore(std::istream& in) {
+void DegradationService::restore(std::string_view text) {
   const auto fail = [](const std::string& what) {
     throw std::runtime_error{"ledger checkpoint: " + what};
   };
@@ -423,33 +497,30 @@ void DegradationService::restore(std::istream& in) {
     throw std::logic_error{"DegradationService: drain_queue() before restore()"};
   }
 
-  // Collect the payload first so the checksum covers exactly what is parsed.
-  std::string payload;
-  std::string checksum_line;
-  std::string line;
-  bool saw_checksum = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("checksum ", 0) == 0) {
-      checksum_line = line.substr(9);
-      saw_checksum = true;
-      break;
-    }
-    payload += line;
-    payload += '\n';
+  // The payload is every line before the first `checksum` line, so the
+  // checksum covers exactly what is parsed.
+  std::size_t trailer = 0;
+  while (trailer < text.size() && !text.substr(trailer).starts_with(kChecksumPrefix)) {
+    const std::size_t eol = text.find('\n', trailer);
+    trailer = eol == std::string_view::npos ? text.size() : eol + 1;
   }
-  if (!saw_checksum) fail("missing checksum trailer");
-  char expected[32];
-  std::snprintf(expected, sizeof expected, "%016" PRIx64, fnv1a(payload));
-  if (checksum_line != expected) fail("checksum mismatch (corrupt or truncated)");
+  if (trailer >= text.size()) fail("missing checksum trailer");
+  const std::string_view payload = text.substr(0, trailer);
+  std::string_view checksum = text.substr(trailer + kChecksumPrefix.size());
+  checksum = checksum.substr(0, checksum.find('\n'));
+  char expected[16];
+  write_hex16(expected, fnv1a64(kLedgerFnvSeed, payload.data(), payload.size()));
+  if (checksum != std::string_view{expected, sizeof expected}) {
+    fail("checksum mismatch (corrupt or truncated)");
+  }
 
-  std::istringstream body{payload};
-  std::string tag;
-  std::string word;
+  LedgerTokens body{payload};
   std::size_t n_nodes = 0;
-  if (!(body >> tag) || tag != "blamledger") fail("bad magic");
-  if (!(body >> word) || word != "v1") fail("unsupported version");
-  if (!(body >> tag >> n_nodes) || tag != "nodes") fail("missing node count");
-  if (!(body >> tag >> word) || tag != "maxdeg") fail("missing maxdeg");
+  double max_degradation = 0.0;
+  if (body.next() != "blamledger") fail("bad magic");
+  if (body.next() != "v1") fail("unsupported version");
+  if (body.next() != "nodes" || !body.read(n_nodes)) fail("missing node count");
+  if (body.next() != "maxdeg" || !body.read(max_degradation)) fail("missing maxdeg");
 
   store_.reset();
   health_.clear();
@@ -466,108 +537,84 @@ void DegradationService::restore(std::istream& in) {
   handle_of_.clear();
   ids_.clear();
   handles_by_id_.clear();
-  max_degradation_ = parse_hex_double(word);
+  max_degradation_ = max_degradation;
 
-  if (!(body >> tag) || tag != "counters") fail("missing counters");
+  if (body.next() != "counters") fail("missing counters");
   LedgerCounters c;
-  if (!(body >> c.reports_accepted >> c.reports_duplicate >> c.reports_checksum_rejected >>
-        c.reports_buffered >> c.reports_reassembled >> c.samples_rejected_nonmonotonic >>
-        c.samples_rejected_range >> c.gaps_bridged >> c.discontinuities >> c.quarantines >>
-        c.recoveries)) {
+  if (!body.read_all(c.reports_accepted, c.reports_duplicate, c.reports_checksum_rejected,
+                     c.reports_buffered, c.reports_reassembled, c.samples_rejected_nonmonotonic,
+                     c.samples_rejected_range, c.gaps_bridged, c.discontinuities, c.quarantines,
+                     c.recoveries)) {
     fail("malformed counters");
   }
   counters_ = c;
 
+  std::vector<SocSample> held_samples;
   for (std::size_t i = 0; i < n_nodes; ++i) {
     std::uint32_t id = 0;
     int health = 0;
     int has_report = 0;
     int has_data = 0;
-    std::int64_t first_us = 0;
-    std::int64_t last_us = 0;
-    std::string deg;
-    std::string norm;
-    std::string gap;
-    if (!(body >> tag >> id) || tag != "node") fail("missing node record");
+    if (body.next() != "node" || !body.read(id)) fail("missing node record");
     if (handle_of_.find(id) != handle_of_.end()) fail("duplicate node record");
     const NodeHandle h = obtain(id);
-    if (!(body >> health >> has_report >> has_data >> last_seq_[h] >> suspicion_[h] >>
-          clean_streak_[h] >> deg >> norm >> gap >> first_us >> last_us)) {
+    if (!body.read_all(health, has_report, has_data, last_seq_[h], suspicion_[h],
+                       clean_streak_[h], degradation_[h], normalized_[h], estimated_gap_s_[h],
+                       first_sample_t_[h], last_sample_t_[h])) {
       fail("malformed node record");
     }
     if (health < 0 || health > 3) fail("health out of range");
     health_[h] = static_cast<std::uint8_t>(health);
     has_report_[h] = has_report != 0 ? 1 : 0;
     has_data_[h] = has_data != 0 ? 1 : 0;
-    degradation_[h] = parse_hex_double(deg);
-    normalized_[h] = parse_hex_double(norm);
-    estimated_gap_s_[h] = parse_hex_double(gap);
-    first_sample_t_[h] = Time::from_us(first_us);
-    last_sample_t_[h] = Time::from_us(last_us);
 
     DegradationTracker::Snapshot t;
-    std::string closed;
-    std::string last_soc;
-    std::string soc_int;
-    std::string stress_int;
-    std::string temp;
-    std::int64_t last_time_us = 0;
-    std::int64_t stress_to_us = 0;
     int has_sample = 0;
-    if (!(body >> tag >> closed >> last_time_us >> last_soc >> has_sample >> soc_int >>
-          stress_int >> stress_to_us >> temp >> t.discontinuities) ||
-        tag != "tracker") {
+    if (body.next() != "tracker" ||
+        !body.read_all(t.closed_cycle_sum, t.last_time, t.last_soc, has_sample,
+                       t.soc_time_integral, t.stress_time_integral, t.stress_integrated_to,
+                       t.temperature_c, t.discontinuities)) {
       fail("malformed tracker record");
     }
-    t.closed_cycle_sum = parse_hex_double(closed);
-    t.last_time = Time::from_us(last_time_us);
-    t.last_soc = parse_hex_double(last_soc);
     t.has_sample = has_sample != 0;
-    t.soc_time_integral = parse_hex_double(soc_int);
-    t.stress_time_integral = parse_hex_double(stress_int);
-    t.stress_integrated_to = Time::from_us(stress_to_us);
-    t.temperature_c = parse_hex_double(temp);
 
     int has_last = 0;
-    std::string direction;
-    std::string last_point;
     std::size_t depth = 0;
-    if (!(body >> tag >> t.rainflow.full_cycles >> has_last >> direction >> last_point >>
-          depth) ||
-        tag != "rainflow") {
+    if (body.next() != "rainflow" ||
+        !body.read_all(t.rainflow.full_cycles, has_last, t.rainflow.prev_direction,
+                       t.rainflow.last, depth)) {
       fail("malformed rainflow record");
     }
     t.rainflow.has_last = has_last != 0;
-    t.rainflow.prev_direction = parse_hex_double(direction);
-    t.rainflow.last = parse_hex_double(last_point);
-    t.rainflow.stack.reserve(depth);
+    // Every stack point takes at least 17 bytes, which bounds a forged depth.
+    t.rainflow.stack.reserve(std::min(depth, body.remaining() / 17));
     for (std::size_t p = 0; p < depth; ++p) {
-      if (!(body >> word)) fail("truncated rainflow stack");
-      t.rainflow.stack.push_back(parse_hex_double(word));
+      double point = 0.0;
+      if (!body.read(point)) fail("truncated rainflow stack");
+      t.rainflow.stack.push_back(point);
     }
     store_.restore(h, t);
 
     std::size_t n_held = 0;
-    if (!(body >> tag >> n_held) || tag != "held") fail("malformed held record");
+    if (body.next() != "held" || !body.read(n_held)) fail("malformed held record");
     if (n_held > kReorderDepth) fail("held buffer overflow");
-    std::vector<SocSample> held_samples;
     for (std::size_t held = 0; held < n_held; ++held) {
       std::uint16_t seq = 0;
       std::size_t n_samples = 0;
-      if (!(body >> tag >> seq >> n_samples) || tag != "heldrep") {
+      if (body.next() != "heldrep" || !body.read_all(seq, n_samples)) {
         fail("malformed held report");
       }
       held_samples.clear();
-      held_samples.reserve(n_samples);
+      held_samples.reserve(std::min(n_samples, body.remaining() / 19));
       for (std::size_t sm = 0; sm < n_samples; ++sm) {
-        std::int64_t t_us = 0;
-        if (!(body >> t_us >> word)) fail("truncated held report");
-        held_samples.push_back(SocSample{Time::from_us(t_us), parse_hex_double(word)});
+        SocSample sample;
+        if (!body.read_all(sample.t, sample.soc)) fail("truncated held report");
+        held_samples.push_back(sample);
       }
       store_.held_insert(h, static_cast<std::uint32_t>(held), seq, held_samples);
     }
   }
-  if (body >> tag) fail("trailing data");
+  if (!body.at_end()) fail("trailing data");
 }
 
 }  // namespace blam

@@ -43,8 +43,9 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -209,13 +210,15 @@ class DegradationService {
   /// drain runs, so checkpointing mid-batch cannot change results. The
   /// "blamledger v1" format is unchanged; pre-drain-era checkpoints restore
   /// into this version and vice versa.
-  void checkpoint(std::ostream& out);
+  /// Appends the text to `out`.
+  void checkpoint(std::string& out);
 
-  /// Rebuilds the ledger from a checkpoint() stream, replacing all current
+  /// Rebuilds the ledger from checkpoint() text, replacing all current
   /// state. The service must have been constructed with the same model and
   /// temperature, and the ingestion queue must be empty (std::logic_error).
-  /// Throws std::runtime_error on malformed or corrupt input.
-  void restore(std::istream& in);
+  /// Throws std::runtime_error on malformed or corrupt input. Bytes after
+  /// the checksum line are ignored.
+  void restore(std::string_view text);
 
  private:
   [[nodiscard]] NodeHandle handle_of(std::uint32_t node_id) const;

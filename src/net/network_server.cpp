@@ -1,6 +1,6 @@
 #include "net/network_server.hpp"
 
-#include <sstream>
+#include <string>
 #include <stdexcept>
 
 #include "audit/audit.hpp"
@@ -236,9 +236,9 @@ void NetworkServer::checkpoint_state(StateWriter& w) {
 
   // The ledger has its own checkpoint format ("blamledger v1", integrity
   // trailer included); it rides along as an opaque blob.
-  std::ostringstream ledger;
+  std::string ledger;
   service_.checkpoint(ledger);
-  w.put_blob(ledger.str());
+  w.put_blob(ledger);
 
   w.put_u64(pending_live_.size());
   for (const auto& [key, slot] : pending_live_) {
@@ -324,8 +324,7 @@ void NetworkServer::restore_state(StateReader& r,
     report_faults_->restore(lanes, counters);
   }
 
-  std::istringstream ledger{r.get_blob()};
-  service_.restore(ledger);
+  service_.restore(r.get_blob());
 
   pending_pool_.clear();
   pending_free_.clear();

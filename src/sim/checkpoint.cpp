@@ -1,6 +1,9 @@
 #include "sim/checkpoint.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "net/gateway.hpp"
@@ -219,11 +222,20 @@ void restore_slice(StateReader& r, const EngineSlice& slice) {
   }
   r.end_section();
 
-  const auto node_by_id = [&slice](std::uint32_t id) -> Node* {
-    for (const auto& node : *slice.nodes) {
-      if (node->id() == id) return node.get();
+  // Global id -> node, built once: pending frames and receptions name their
+  // node by id, and a scan per lookup made restore O(nodes x pending).
+  using IdEntry = std::pair<std::uint32_t, Node*>;
+  std::vector<IdEntry> by_id;
+  by_id.reserve(slice.nodes->size());
+  for (const auto& node : *slice.nodes) by_id.emplace_back(node->id(), node.get());
+  const auto id_less = [](const IdEntry& a, const IdEntry& b) { return a.first < b.first; };
+  std::sort(by_id.begin(), by_id.end(), id_less);
+  const auto node_by_id = [&by_id, &id_less](std::uint32_t id) -> Node* {
+    const auto it = std::lower_bound(by_id.begin(), by_id.end(), IdEntry{id, nullptr}, id_less);
+    if (it == by_id.end() || it->first != id) {
+      throw std::runtime_error{"restore_slice: checkpoint references a node outside this slice"};
     }
-    throw std::runtime_error{"restore_slice: checkpoint references a node outside this slice"};
+    return it->second;
   };
 
   slice.server->restore_state(r, *slice.gateways, node_by_id);

@@ -43,12 +43,21 @@ std::optional<EventQueue::PendingEvent> EventQueue::lookup(EventHandle handle) c
   if (handle.is_null() || handle.slot >= slots_.size()) return std::nullopt;
   const Slot& s = slots_[handle.slot];
   if (!s.live || s.generation != handle.generation) return std::nullopt;
-  for (const HeapEntry& entry : heap_) {
-    if (entry.slot == handle.slot && entry.generation == handle.generation) {
-      return PendingEvent{entry.time, entry.seq};
+  // A live slot has exactly one heap entry. The remembered position is
+  // trusted only if that entry is still there; otherwise one scan of the
+  // heap re-learns every position.
+  const auto holds_handle = [&](std::uint32_t pos) {
+    return pos < heap_.size() && heap_[pos].slot == handle.slot &&
+           heap_[pos].generation == handle.generation;
+  };
+  if (handle.slot >= heap_pos_.size() || !holds_handle(heap_pos_[handle.slot])) {
+    heap_pos_.resize(slots_.size());
+    for (std::size_t pos = 0; pos < heap_.size(); ++pos) {
+      heap_pos_[heap_[pos].slot] = static_cast<std::uint32_t>(pos);
     }
   }
-  return std::nullopt;
+  const HeapEntry& entry = heap_[heap_pos_[handle.slot]];
+  return PendingEvent{entry.time, entry.seq};
 }
 
 void EventQueue::clear() {

@@ -61,8 +61,12 @@ class EventQueue {
   [[nodiscard]] Popped pop();
 
   /// (time, seq) of a still-pending event, or nullopt for a null, fired, or
-  /// cancelled handle. Scans the heap, so it is checkpoint-path only — the
-  /// hot path never pays for it.
+  /// cancelled handle. O(1) while the heap is unchanged: a per-slot heap
+  /// position, re-learned by one heap scan when it no longer holds the
+  /// handle, so a checkpoint that looks up every pending event pays
+  /// O(pending) once. schedule/pop/cancel do no extra work for it. Not safe
+  /// to call concurrently on the same queue (the positions are re-learned
+  /// in place).
   struct PendingEvent {
     Time time;
     std::uint64_t seq;
@@ -116,6 +120,11 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_{0};
   std::size_t live_{0};
+
+  /// lookup()'s heap position by slot, as of its last heap scan. Each slot
+  /// has at most one heap entry (slots recycle only after theirs pops), so
+  /// an entry with the handle's slot and generation is the handle's own.
+  mutable std::vector<std::uint32_t> heap_pos_;
 };
 
 }  // namespace blam

@@ -748,6 +748,7 @@ void ShardedNetwork::checkpoint(std::ostream& out) {
       checkpoint_slice(w, slice);
     }
   }
+  w.flush();
 }
 
 void ShardedNetwork::restore(std::istream& in) {

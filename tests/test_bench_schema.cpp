@@ -129,6 +129,7 @@ TEST(BenchSchema, FaultGridOrderIsEnforced) {
 
 TEST(BenchSchema, ResumeArtifactSchema) {
   const std::string valid = R"({
+    "host": {"cores": 4, "cpu": "Example CPU", "compiler": "GNU 13.2.0", "build_type": "Release"},
     "nodes": 48, "gateways": 4, "shards": 4, "days": 0.5,
     "epochs": 12, "kill_epoch": 6,
     "checkpoint_bytes": 250000, "checkpoint_write_s": 0.004,
@@ -154,6 +155,13 @@ TEST(BenchSchema, ResumeArtifactSchema) {
       check_bench_json("BENCH_resume.json",
                        with_replacement(valid, "\"restore_s\": 0.006, ", ""))
           .empty());
+  // A timing without its host cannot be compared with another.
+  const auto rejects = [&valid](const std::string& from, const std::string& to) {
+    return !check_bench_json("BENCH_resume.json", with_replacement(valid, from, to)).empty();
+  };
+  EXPECT_TRUE(rejects("\"host\":", "\"machine\":"));
+  EXPECT_TRUE(rejects("\"cpu\": \"Example CPU\"", "\"cpu\": \"\""));
+  EXPECT_TRUE(rejects("\"cores\": 4", "\"cores\": 0"));
 }
 
 TEST(BenchSchema, UnknownBenchFileGetsGenericContract) {

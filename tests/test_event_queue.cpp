@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -165,6 +166,79 @@ TEST(EventQueue, RandomizedOrderingProperty) {
     EXPECT_GE(time.us(), prev.us());
     prev = time;
   }
+}
+
+/// Test-side record of one scheduled event, kept in step with the queue.
+struct ShadowEvent {
+  EventHandle handle;
+  Time time;
+  std::uint64_t seq;
+  bool pending;
+};
+
+/// lookup() must answer exactly what a scan of the schedule would.
+void expect_lookups_match(const EventQueue& q, const std::vector<ShadowEvent>& events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ShadowEvent& e = events[i];
+    const auto got = q.lookup(e.handle);
+    ASSERT_EQ(got.has_value(), e.pending) << "event " << i;
+    if (got.has_value()) {
+      EXPECT_EQ(got->time.us(), e.time.us()) << "event " << i;
+      EXPECT_EQ(got->seq, e.seq) << "event " << i;
+    }
+  }
+}
+
+TEST(EventQueue, LookupMatchesBruteForceUnderChurn) {
+  EventQueue q;
+  std::vector<ShadowEvent> events;
+  std::vector<std::size_t> fired;
+  Rng rng{77};
+  Time now = Time::zero();
+  const auto schedule = [&](Time t) {
+    const std::size_t index = events.size();
+    const std::uint64_t seq = q.next_seq();
+    const EventHandle h = q.schedule(t, [&fired, index] { fired.push_back(index); });
+    events.push_back({h, t, seq, true});
+  };
+  const auto churn = [&](int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const std::int64_t op = rng.uniform_int(0, 9);
+      if (op < 5 || events.empty()) {
+        schedule(Time::from_us(now.us() + rng.uniform_int(0, 1000)));
+      } else if (op < 7) {
+        ShadowEvent& e = events[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(events.size()) - 1))];
+        EXPECT_EQ(q.cancel(e.handle), e.pending);
+        e.pending = false;
+      } else if (!q.empty()) {
+        auto popped = q.pop();
+        now = popped.time;
+        popped.callback();
+        events[fired.back()].pending = false;
+      }
+      // Lookups between mutations rebuild the index many times over.
+      if (step % 37 == 0) expect_lookups_match(q, events);
+    }
+    expect_lookups_match(q, events);
+  };
+  churn(3000);
+
+  // Restore path: clear() invalidates every handle, then events come back
+  // under explicit seqs in arbitrary order, reusing slot numbers.
+  q.clear();
+  events.clear();
+  fired.clear();
+  for (const std::uint64_t seq : {std::uint64_t{41}, std::uint64_t{7}, std::uint64_t{19}}) {
+    const Time t = Time::from_us(now.us() + static_cast<std::int64_t>(seq));
+    const std::size_t index = events.size();
+    const EventHandle h =
+        q.schedule_with_seq(t, seq, [&fired, index] { fired.push_back(index); });
+    events.push_back({h, t, seq, true});
+  }
+  expect_lookups_match(q, events);
+  q.set_next_seq(42);
+  churn(1000);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -221,7 +220,7 @@ TEST(FeedbackResilience, CheckpointRestoreIsBitExactMidReassembly) {
   original.recompute(Time::from_days(12.0));
   deliver(original, 2, 13, reports);  // held again, across the checkpoint
 
-  std::stringstream saved;
+  std::string saved;
   original.checkpoint(saved);
   DegradationService restored{DegradationModel{}, 25.0};
   restored.restore(saved);
@@ -257,26 +256,22 @@ TEST(FeedbackResilience, RestoreRejectsCorruptOrTruncatedCheckpoints) {
   const auto reports = daily_reports(10, [](int) { return 0.7; });
   for (std::size_t i = 0; i < reports.size(); ++i) deliver(svc, 1, i, reports);
   svc.recompute(Time::from_days(10.0));
-  std::stringstream saved;
-  svc.checkpoint(saved);
-  const std::string text = saved.str();
+  std::string text;
+  svc.checkpoint(text);
 
   // Flip one hex digit inside the body: the FNV trailer must catch it.
   std::string corrupt = text;
   const std::size_t pos = corrupt.find("node 1");
   ASSERT_NE(pos, std::string::npos);
   corrupt[pos + 5] = '2';
-  std::stringstream bad{corrupt};
   DegradationService victim{DegradationModel{}, 25.0};
-  EXPECT_THROW(victim.restore(bad), std::runtime_error);
+  EXPECT_THROW(victim.restore(corrupt), std::runtime_error);
 
-  std::stringstream truncated{text.substr(0, text.size() / 2)};
   DegradationService victim2{DegradationModel{}, 25.0};
-  EXPECT_THROW(victim2.restore(truncated), std::runtime_error);
+  EXPECT_THROW(victim2.restore(text.substr(0, text.size() / 2)), std::runtime_error);
 
-  std::stringstream wrong_magic{"blamledger v9\n"};
   DegradationService victim3{DegradationModel{}, 25.0};
-  EXPECT_THROW(victim3.restore(wrong_magic), std::runtime_error);
+  EXPECT_THROW(victim3.restore("blamledger v9\n"), std::runtime_error);
 }
 
 TEST(FeedbackResilience, LegacyIngestRejectsGarbageSamples) {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -101,15 +100,14 @@ void feed_scripted_scenario(DegradationService& svc,
 }
 
 std::string checkpoint_text(DegradationService& svc) {
-  std::ostringstream out;
+  std::string out;
   svc.checkpoint(out);
-  return out.str();
+  return out;
 }
 
 TEST(LedgerCheckpoint, Pr6FixtureRoundTripsByteExact) {
   DegradationService svc{DegradationModel{}, 25.0};
-  std::istringstream in{kPr6Fixture};
-  svc.restore(in);
+  svc.restore(kPr6Fixture);
 
   // The restored ledger carries the full PR-6 semantics, not just bytes.
   EXPECT_EQ(svc.node_count(), 5u);
@@ -175,8 +173,7 @@ TEST(LedgerCheckpoint, CheckpointDrainsStagedReports) {
   // Restore still refuses a non-empty queue: staged reports would be
   // silently destroyed by the rebuild.
   svc.enqueue_report(1, 1, report_checksum(1, samples), samples);
-  std::istringstream in{kPr6Fixture};
-  EXPECT_THROW(svc.restore(in), std::logic_error);
+  EXPECT_THROW(svc.restore(kPr6Fixture), std::logic_error);
 }
 
 TEST(LedgerCheckpoint, IngestBatchMustBePositive) {
@@ -193,8 +190,7 @@ TEST(LedgerCheckpoint, RestoreRejectsTamperedFixture) {
   ASSERT_NE(pos, std::string::npos);
   tampered[pos + 3] = '5';
   DegradationService svc{DegradationModel{}, 25.0};
-  std::istringstream in{tampered};
-  EXPECT_THROW(svc.restore(in), std::runtime_error);
+  EXPECT_THROW(svc.restore(tampered), std::runtime_error);
 }
 
 TEST(LedgerCheckpoint, RestoreRejectsHeldOverflow) {
@@ -205,8 +201,7 @@ TEST(LedgerCheckpoint, RestoreRejectsHeldOverflow) {
   ASSERT_NE(pos, std::string::npos);
   forged.replace(pos, 6, "held 9");
   DegradationService svc{DegradationModel{}, 25.0};
-  std::istringstream in{forged};
-  EXPECT_THROW(svc.restore(in), std::runtime_error);
+  EXPECT_THROW(svc.restore(forged), std::runtime_error);
 }
 
 }  // namespace

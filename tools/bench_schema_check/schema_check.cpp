@@ -282,6 +282,23 @@ class Checker {
     }
   }
 
+  /// `host` must name the machine and build a timing came from: "cores" a
+  /// number >= 1, "cpu", "compiler" and "build_type" non-empty strings.
+  void require_host(const JsonValue& root) {
+    const JsonValue* host = require(root, "host", JsonValue::Kind::kObject, "object");
+    if (host == nullptr) return;
+    const JsonValue* cores = find(*host, "cores");
+    if (cores == nullptr || cores->kind != JsonValue::Kind::kNumber || !(cores->number >= 1.0)) {
+      issue("host.cores must be a number >= 1");
+    }
+    for (const char* key : {"cpu", "compiler", "build_type"}) {
+      const JsonValue* v = find(*host, key);
+      if (v == nullptr || v->kind != JsonValue::Kind::kString || v->string.empty()) {
+        issue(std::string{"host."} + key + " must be a non-empty string");
+      }
+    }
+  }
+
   [[nodiscard]] std::vector<std::string> take() { return std::move(issues_); }
 
  private:
@@ -370,6 +387,7 @@ void check_ingest(Checker& check, const JsonValue& root) {
 }
 
 void check_resume(Checker& check, const JsonValue& root) {
+  check.require_host(root);
   for (const char* key : {"nodes", "gateways", "shards", "days", "epochs", "kill_epoch",
                           "checkpoint_bytes", "checkpoint_write_s", "restore_s", "fresh_wall_s",
                           "resumed_wall_s"}) {
